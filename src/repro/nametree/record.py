@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..naming import NameSpecifier
+
 #: Default soft-state lifetime for a name-record, seconds. Records not
 #: refreshed within one lifetime are discarded (Section 2.2).
 DEFAULT_LIFETIME = 60.0
@@ -115,6 +117,15 @@ class NameRecord:
     #: refresh can detect "same name again" without re-running GET-NAME;
     #: None while the record is not grafted anywhere.
     advertised_key: Optional[tuple] = field(default=None, repr=False)
+
+    #: GET-NAME's result for this record, memoized: built at most once
+    #: per graft (or adopted at graft from a neighbor's read-only
+    #: GET-NAME output) and handed to every update and discovery answer
+    #: until the record is grafted again or removed; None until then.
+    #: Frozen, because it is shared.
+    advertised_name: Optional[NameSpecifier] = field(
+        default=None, repr=False, compare=False
+    )
 
     #: Memoized __hash__. Records live in many sets (value-node record
     #: sets, subtree caches, lookup results) and set operations probe

@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 from typing import Set
 
+from ..naming import NameSpecifier
 from .nodes import ValueNode
 from .record import NameRecord
 from .tree import NameTree
@@ -39,6 +40,40 @@ def _record_size(record: NameRecord, seen: Set[int]) -> int:
     if record.route.next_hop is not None:
         total += _sizeof(record.route.next_hop, seen)
     total += _sizeof(record.attachments, seen)
+    if record.advertised_name is not None:
+        # The memoized GET-NAME result is resident memory the tree owns
+        # (shared with neighbors that adopted it, so counted once).
+        total += _name_size(record.advertised_name, seen)
+    return total
+
+
+def _key_size(key: tuple, seen: Set[int]) -> int:
+    """A canonical key: nested tuples of (attribute, value, children)."""
+    total = 0
+    stack = [key]
+    while stack:
+        item = stack.pop()
+        total += _sizeof(item, seen)
+        if item.__class__ is tuple:
+            stack.extend(item)
+    return total
+
+
+def _name_size(name: NameSpecifier, seen: Set[int]) -> int:
+    """A read-only name: its pairs, child dicts, keys and wire text.
+
+    Freezing cached every key, and the name's key holds its pairs' keys,
+    so walking it covers them all.
+    """
+    total = _sizeof(name, seen) + _sizeof(name._roots, seen)
+    total += _key_size(name.canonical_key(), seen)
+    if name._wire_key is not None:
+        total += _sizeof(name._wire_text, seen)
+    for pair in name.walk():
+        total += _sizeof(pair, seen)
+        total += _sizeof(pair.attribute, seen)
+        total += _sizeof(pair.value, seen)
+        total += _sizeof(pair._children, seen)
     return total
 
 

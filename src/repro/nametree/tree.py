@@ -14,7 +14,7 @@ whole memo is flushed when a tree *epoch* counter advances. The epoch
 moves only on membership changes — graft, remove, expiry — never on a
 pure refresh, so periodic soft-state refreshes keep the memo warm.
 
-Two implementation notes on the hot paths:
+Three implementation notes on the hot paths:
 
 - LOOKUP-NAME runs iteratively over an explicit frame stack (names of
   any depth resolve without recursion) and reads per-value-node subtree
@@ -26,6 +26,17 @@ Two implementation notes on the hot paths:
   advances once when the outermost batch closes instead of once per
   graft, which keeps one simulator delivery of N periodic updates from
   invalidating lookup state N times.
+- GET-NAME runs at most once per graft. A record's name can only change
+  when it is grafted again, so ``get_name`` memoizes its result on the
+  record (``NameRecord.advertised_name``, cleared by graft and remove)
+  and every periodic update, triggered update, full-table send and
+  discovery answer reuses it. The result is frozen because it is
+  shared. A tree *adopts* an incoming read-only name instead of keeping
+  its own copy: at graft, and on a refresh whose name has the same wire
+  text as the memo. That is safe because GET-NAME(graft(n)) reproduces
+  n's wire text exactly (grafting attaches leaves in n's pre-order, and
+  the upward trace rebuilds siblings in that order), and it keeps one
+  copy of each name per domain rather than one per resolver.
 
 One fidelity note on LOOKUP-NAME: the paper states that omitted
 attributes correspond to wild-cards for both queries and advertisements.
@@ -199,11 +210,22 @@ class NameTree:
         an equal key proves the name is the one already validated as
         concrete at graft time, so the validation walk is skipped too.
         A pure refresh leaves the tree epoch (and therefore the lookup
-        memo) untouched.
+        memo) untouched. It adopts a read-only incoming name whose wire
+        text equals the memoized GET-NAME result's (see the module
+        docstring), so neighbors converge on one shared copy.
         """
         key = name.canonical_key()
         existing = self._by_announcer.get(record.announcer)
         if existing is not None and existing.advertised_key == key:
+            memo = existing.advertised_name
+            if (
+                memo is not None
+                and memo is not name
+                and name.frozen
+                and memo.to_wire() == name.to_wire()
+            ):
+                existing.advertised_name = name
+                existing.advertised_key = key
             record.vspace = self.vspace
             changed = not existing.same_payload(record)
             existing.endpoints = list(record.endpoints)
@@ -225,6 +247,9 @@ class NameTree:
     def _graft(self, name: NameSpecifier, record: NameRecord, key: tuple) -> None:
         record.attachments = []
         record.advertised_key = key
+        # A read-only name is what GET-NAME would rebuild from this
+        # graft (see the module docstring): adopt it as the memo.
+        record.advertised_name = name if name.frozen else None
         for pair in name.roots:
             self._graft_pair(self._root, pair, record)
         self._by_announcer[record.announcer] = record
@@ -281,6 +306,7 @@ class NameTree:
             value_node.prune_upwards()
         record.attachments = []
         record.advertised_key = None
+        record.advertised_name = None
         self._bump_epoch()
         return True
 
@@ -582,11 +608,22 @@ class NameTree:
     # GET-NAME (Figure 6)
     # ------------------------------------------------------------------
     def get_name(self, record: NameRecord) -> NameSpecifier:
-        """Reconstruct the name-specifier advertised for ``record``.
+        """The name-specifier advertised for ``record``, read-only.
 
-        Traces upward from each of the record's leaf value-nodes,
-        grafting reconstructed fragments onto av-pairs already rebuilt
-        (tracked through the transient PTR variable on value-nodes).
+        Runs GET-NAME at most once per graft: the result is memoized on
+        the record until it is grafted again or removed, and frozen
+        because every caller shares it (``copy()`` it to edit).
+        """
+        name = record.advertised_name
+        if name is None:
+            name = record.advertised_name = self._reconstruct(record).freeze()
+        return name
+
+    def _reconstruct(self, record: NameRecord) -> NameSpecifier:
+        """GET-NAME: traces upward from each of the record's leaf
+        value-nodes, grafting reconstructed fragments onto av-pairs
+        already rebuilt (tracked through the transient PTR variable on
+        value-nodes).
         """
         name = NameSpecifier()
         touched: List[ValueNode] = [self._root]
@@ -639,7 +676,8 @@ class NameTree:
         return iter(list(self._by_announcer.values()))
 
     def names(self) -> Iterator[Tuple[NameSpecifier, NameRecord]]:
-        """All (name-specifier, record) pairs, reconstructed by GET-NAME.
+        """All (name-specifier, record) pairs, reconstructed by GET-NAME
+        (memoized per graft, read-only).
 
         This is exactly what the discovery protocol transmits in
         periodic updates (Section 2.3.3).

@@ -20,6 +20,7 @@ from .binary import (
 )
 from .errors import (
     DuplicateAttributeError,
+    FrozenNameError,
     InvalidTokenError,
     NameSyntaxError,
     NamingError,
@@ -50,6 +51,7 @@ __all__ = [
     "encode_name",
     "DEFAULT_VSPACE",
     "DuplicateAttributeError",
+    "FrozenNameError",
     "InvalidTokenError",
     "LiteralMatcher",
     "NameSpecifier",

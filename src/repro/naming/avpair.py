@@ -9,13 +9,18 @@ on this pair is a *descendant* of it.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterator, Optional, Tuple
 
-from .errors import DuplicateAttributeError, InvalidTokenError
+from .errors import DuplicateAttributeError, FrozenNameError, InvalidTokenError
 
 #: Characters that cannot appear inside attribute or value tokens
 #: because they are structural in the wire format.
 RESERVED_CHARACTERS = frozenset("[]=")
+
+#: The first character ``validate_token`` rejects: a reserved one or
+#: whitespace (``\s`` on a str pattern is exactly ``str.isspace``).
+_FIRST_ILLEGAL = re.compile(r"[\[\]=\s]").search
 
 
 def validate_token(token: str, kind: str) -> str:
@@ -29,14 +34,13 @@ def validate_token(token: str, kind: str) -> str:
     """
     if not token:
         raise InvalidTokenError(f"empty {kind} token")
-    body = token
-    if kind == "value" and token[:2] in ("<=", ">="):
-        body = token[2:]
-    for ch in body:
-        if ch in RESERVED_CHARACTERS or ch.isspace():
-            raise InvalidTokenError(
-                f"{kind} token {token!r} contains reserved character {ch!r}"
-            )
+    start = 2 if kind == "value" and token[:2] in ("<=", ">=") else 0
+    illegal = _FIRST_ILLEGAL(token, start)
+    if illegal is not None:
+        raise InvalidTokenError(
+            f"{kind} token {token!r} contains reserved character "
+            f"{illegal.group()!r}"
+        )
     return token
 
 
@@ -48,7 +52,9 @@ class AVPair:
     giving O(1) child lookup during name-tree operations.
     """
 
-    __slots__ = ("attribute", "value", "_children", "_key_cache", "_parent")
+    __slots__ = (
+        "attribute", "value", "_children", "_key_cache", "_parent", "_frozen",
+    )
 
     def __init__(self, attribute: str, value: str) -> None:
         self.attribute = validate_token(attribute, "attribute")
@@ -60,6 +66,8 @@ class AVPair:
         # which the object model already implies: names are trees.
         self._key_cache: Optional[tuple] = None
         self._parent = None
+        # Set by NameSpecifier.freeze() on every pair of a shared name.
+        self._frozen = False
 
     def _invalidate_key(self) -> None:
         # A cached ancestor implies every descendant is cached (the key
@@ -77,8 +85,15 @@ class AVPair:
         """Attach ``child`` as a dependent av-pair; returns ``child``.
 
         Raises :class:`DuplicateAttributeError` when a sibling already
-        classifies the same attribute.
+        classifies the same attribute, and :class:`FrozenNameError` when
+        either pair belongs to a read-only name.
         """
+        if self._frozen or child._frozen:
+            raise FrozenNameError(
+                f"cannot attach {child.attribute}={child.value} under "
+                f"{self.attribute}={self.value}: a read-only name is "
+                "involved (copy() it first)"
+            )
         if child.attribute in self._children:
             raise DuplicateAttributeError(
                 f"sibling av-pair with attribute {child.attribute!r} "

@@ -41,6 +41,15 @@ class DuplicateAttributeError(NamingError):
     """
 
 
+class FrozenNameError(NamingError):
+    """A read-only name-specifier was mutated.
+
+    Names the name-tree rebuilds with GET-NAME are shared by every
+    update and discovery answer that carries them, across rounds and
+    neighbors, so they are frozen; ``copy()`` gives a mutable one.
+    """
+
+
 class WildcardValueError(NamingError):
     """A wildcard or range value was used where a literal is required.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .avpair import AVPair
-from .errors import DuplicateAttributeError, WildcardValueError
+from .errors import DuplicateAttributeError, FrozenNameError, WildcardValueError
 from .operators import is_operator_value
 
 #: The well-known attribute an application uses to declare the virtual
@@ -30,7 +30,9 @@ NestedDict = Mapping[str, _DictValue]
 class NameSpecifier:
     """An intentional name: an ordered forest of orthogonal av-pairs."""
 
-    __slots__ = ("_roots", "_key_cache", "_parent")
+    __slots__ = (
+        "_roots", "_key_cache", "_parent", "_wire_key", "_wire_text", "_frozen",
+    )
 
     def __init__(self, roots: Optional[List[AVPair]] = None) -> None:
         self._roots: Dict[str, AVPair] = {}
@@ -40,6 +42,12 @@ class NameSpecifier:
         # only to terminate AVPair._invalidate_key's upward walk).
         self._key_cache: Optional[tuple] = None
         self._parent = None
+        # Memoized compact to_wire(), valid while _key_cache is the very
+        # tuple it was built under: any mutation clears _key_cache, and
+        # a recomputed key is a new object, so the tag goes stale too.
+        self._wire_key: Optional[tuple] = None
+        self._wire_text = ""
+        self._frozen = False
         for root in roots or []:
             self.add_pair(root)
 
@@ -50,8 +58,14 @@ class NameSpecifier:
         """Attach a top-level av-pair; returns it.
 
         Raises :class:`DuplicateAttributeError` if the attribute is
-        already classified at the top level.
+        already classified at the top level, and
+        :class:`FrozenNameError` if this name or ``pair`` is read-only.
         """
+        if self._frozen or pair._frozen:
+            raise FrozenNameError(
+                f"cannot add top-level {pair.attribute}={pair.value}: a "
+                "read-only name is involved (copy() it first)"
+            )
         if pair.attribute in self._roots:
             raise DuplicateAttributeError(
                 f"top-level av-pair with attribute {pair.attribute!r} "
@@ -131,6 +145,27 @@ class NameSpecifier:
         return max(pair.depth() for pair in self._roots.values())
 
     @property
+    def frozen(self) -> bool:
+        """True once :meth:`freeze` made the name read-only."""
+        return self._frozen
+
+    def freeze(self) -> "NameSpecifier":
+        """Make the name read-only, in place; returns self.
+
+        From then on ``add_pair``/``add_child`` anywhere in it raise
+        :class:`FrozenNameError`, so the name can be shared (the
+        name-tree hands the same GET-NAME result to every update and
+        discovery answer). ``copy()`` still returns a mutable name.
+        Computes the canonical key up front, which also lets
+        :meth:`to_wire` keep its text from the first call on.
+        """
+        self.canonical_key()
+        self._frozen = True
+        for pair in self.walk():
+            pair._frozen = True
+        return self
+
+    @property
     def is_empty(self) -> bool:
         """True for the empty name, which matches everything."""
         return not self._roots
@@ -193,7 +228,14 @@ class NameSpecifier:
         per-subtree string concatenation (quadratic on deep names) and
         no recursion (deep names would blow the stack). Wire bytes are
         identical to the recursive formulation.
+
+        The compact text is memoized once the canonical key is cached,
+        tagged with that key tuple (see ``__init__``), so a name sent
+        round after round is serialized once.
         """
+        key = self._key_cache
+        if not pretty and key is not None and self._wire_key is key:
+            return self._wire_text
         eq = " = " if pretty else "="
         out: List[str] = []
         append = out.append
@@ -221,7 +263,11 @@ class NameSpecifier:
                             stack.append(" ")
                     else:
                         stack.extend(list(children.values())[::-1])
-        return "".join(out)
+        text = "".join(out)
+        if not pretty and key is not None:
+            self._wire_key = key
+            self._wire_text = text
+        return text
 
     def wire_size(self) -> int:
         """Length in bytes of the compact wire representation."""

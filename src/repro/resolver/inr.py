@@ -966,7 +966,12 @@ class INR(Process):
                 # neighbors believed the name dead — force propagation.
                 self.stats.expiry_grace_readmissions += 1
             if outcome.changed or readmitted:
-                changed.append((vspace, ad.name, outcome.record))
+                # Announce the tree's own read-only GET-NAME result, not
+                # the service's object: same wire text, and neighbors
+                # adopt it instead of rebuilding a copy each.
+                changed.append(
+                    (vspace, tree.get_name(outcome.record), outcome.record)
+                )
         if changed:
             self._send_triggered(changed, exclude=None)
             self._custody_retry()

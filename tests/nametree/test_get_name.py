@@ -72,3 +72,76 @@ class TestGetName:
         assert set(extracted) == wires
         for wire in sorted(wires):
             assert extracted[wire] is inserted[wire]
+
+
+class TestGetNameMemo:
+    """GET-NAME runs once per graft; its read-only result is shared."""
+
+    def test_result_is_memoized_and_read_only(self, tree):
+        record = make_record()
+        tree.insert(parse("[a=b[c=d]]"), record)
+        name = tree.get_name(record)
+        assert tree.get_name(record) is name
+        assert name.frozen
+        assert record.advertised_name is name
+
+    def test_regraft_rebuilds(self, tree):
+        record = make_record()
+        tree.insert(parse("[a=b[c=d]]"), record)
+        old = tree.get_name(record)
+        renamed = make_record()
+        renamed.announcer = record.announcer
+        tree.insert(parse("[a=b[c=e]]"), renamed)
+        assert tree.get_name(renamed).to_wire() == "[a=b[c=e]]"
+        assert old.to_wire() == "[a=b[c=d]]"
+
+    def test_remove_clears_the_memo(self, tree):
+        record = make_record()
+        tree.insert(parse("[a=b]"), record)
+        tree.get_name(record)
+        tree.remove(record)
+        assert record.advertised_name is None
+
+    def test_pure_refresh_keeps_the_memo(self, tree):
+        record = make_record()
+        tree.insert(parse("[a=b]"), record)
+        name = tree.get_name(record)
+        tree.insert(parse("[a=b]"), make_record_for(record))
+        assert tree.get_name(record) is name
+
+    def test_graft_adopts_a_read_only_name(self, tree):
+        source = NameTree()
+        origin = make_record()
+        source.insert(parse("[a=b[x=1][y=2]][c=d]"), origin)
+        shared = source.get_name(origin)
+        record = make_record()
+        tree.insert(shared, record)
+        assert tree.get_name(record) is shared
+
+    def test_graft_does_not_adopt_a_mutable_name(self, tree):
+        record = make_record()
+        advertised = parse("[a=b]")
+        tree.insert(advertised, record)
+        name = tree.get_name(record)
+        assert name is not advertised
+        advertised.add("c", "d")  # the advertiser's object stays its own
+        assert tree.get_name(record).to_wire() == "[a=b]"
+
+    def test_refresh_adopts_only_an_identical_wire_text(self, tree):
+        record = make_record()
+        tree.insert(parse("[a=1][b=2]"), record)
+        own = tree.get_name(record)
+        reordered = parse("[b=2][a=1]").freeze()
+        tree.insert(reordered, make_record_for(record))
+        assert tree.get_name(record) is own
+        same = parse("[a=1][b=2]").freeze()
+        tree.insert(same, make_record_for(record))
+        assert tree.get_name(record) is same
+
+
+def make_record_for(record):
+    """A refresh of ``record``: same announcer, same payload."""
+    refresh = make_record()
+    refresh.announcer = record.announcer
+    refresh.endpoints = list(record.endpoints)
+    return refresh

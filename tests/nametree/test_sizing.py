@@ -1,5 +1,7 @@
 """Tests for name-tree memory accounting (the Figure 13 instrument)."""
 
+import sys
+
 from repro.nametree import NameTree, name_tree_bytes, name_tree_megabytes
 
 from ..conftest import make_record, parse
@@ -44,3 +46,26 @@ class TestSizing:
     def test_megabytes_scaling(self, tree):
         tree.insert(parse("[a=b]"), make_record())
         assert name_tree_megabytes(tree) == name_tree_bytes(tree) / (1024 * 1024)
+
+    def test_memoized_name_is_counted(self, tree):
+        """GET-NAME's memoized result is resident memory the tree owns:
+        its pairs, child dicts, keys and wire text, but not the
+        attribute/value strings it shares with the tree's nodes."""
+        record = make_record()
+        tree.insert(parse("[a=b[c=d]][e=f]"), record)
+        before = name_tree_bytes(tree)
+        name = tree.get_name(record)
+        wire = name.to_wire()
+        tuples, stack = {}, [name.canonical_key()]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is tuple:
+                tuples[id(item)] = item
+                stack.extend(item)
+        expected = (
+            sys.getsizeof(name) + sys.getsizeof(name._roots) + sys.getsizeof(wire)
+            + sum(sys.getsizeof(t) for t in tuples.values())
+            + sum(sys.getsizeof(pair) + sys.getsizeof(pair._children)
+                  for pair in name.walk())
+        )
+        assert name_tree_bytes(tree) - before == expected

@@ -4,9 +4,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments import UniformWorkload
+from repro.experiments import InsDomain, UniformWorkload
 from repro.naming import NameSpecifier
 from repro.nametree import AnnouncerID, Endpoint, NameRecord, NameTree
+
+from ..naming.test_naming_properties import name_specifiers
 
 
 def _workload(seed: int, depth: int = 2) -> UniformWorkload:
@@ -137,3 +139,73 @@ def test_hash_and_linear_search_agree(seed, count):
         i for i, r in linear_records.items() if r in linear_tree.lookup(query)
     }
     assert found_hash == found_linear
+
+
+def _refresh_of(record: NameRecord, expires_at: float = float("inf")) -> NameRecord:
+    return NameRecord(
+        announcer=record.announcer,
+        endpoints=list(record.endpoints),
+        expires_at=expires_at,
+    )
+
+
+@given(first=name_specifiers(), second=name_specifiers())
+@settings(max_examples=100, deadline=None)
+def test_get_name_reproduces_wire_text_and_memo_never_goes_stale(first, second):
+    """GET-NAME(graft(n)) has n's exact wire text (what adopting a
+    neighbor's read-only name relies on), and after a re-graft, a
+    removal or an expiry the memo never serves the old name."""
+    tree = NameTree()
+    record = _record("memo")
+    tree.insert(first, record)
+    assert tree.get_name(record).to_wire() == first.to_wire()
+
+    # A rename re-grafts; an equal key is a refresh and keeps the name.
+    renamed = _refresh_of(record)
+    tree.insert(second, renamed)
+    current = tree.record_for(record.announcer)
+    expected = first if first == second else second
+    assert tree.get_name(current).to_wire() == expected.to_wire()
+
+    tree.remove(current)
+    assert current.advertised_name is None
+    assert tree.get_name(current).is_empty  # no attachments left
+
+    again = _refresh_of(record, expires_at=10.0)
+    tree.insert(first, again)
+    assert tree.get_name(again).to_wire() == first.to_wire()
+    assert tree.expire(now=10.0) == [again]
+    assert again.advertised_name is None
+    tree.insert(second, again)
+    assert tree.get_name(again).to_wire() == second.to_wire()
+
+
+def test_get_name_traces_at_most_once_per_graft(monkeypatch):
+    """Over two periodic rounds of a 3-INR domain, GET-NAME's upward
+    trace runs at most once per graft, however many updates carry the
+    name."""
+    grafts = builds = 0
+    graft, reconstruct = NameTree._graft, NameTree._reconstruct
+
+    def counting_graft(self, *args):
+        nonlocal grafts
+        grafts += 1
+        return graft(self, *args)
+
+    def counting_reconstruct(self, record):
+        nonlocal builds
+        builds += 1
+        return reconstruct(self, record)
+
+    monkeypatch.setattr(NameTree, "_graft", counting_graft)
+    monkeypatch.setattr(NameTree, "_reconstruct", counting_reconstruct)
+    domain = InsDomain(seed=5)
+    inrs = [domain.add_inr(address=f"inr-{index}") for index in range(3)]
+    for index in range(6):
+        domain.add_service(f"[service=s{index}[id={index}]][room=r{index % 2}]",
+                           resolver=inrs[index % 3])
+    domain.run(2 * domain.config.refresh_interval)
+    # Two rounds, each to at least one neighbor, every name everywhere.
+    assert all(inr.stats.periodic_updates_sent >= 2 for inr in inrs)
+    assert all(inr.name_count() == 6 for inr in inrs)
+    assert 0 < builds <= grafts

@@ -9,6 +9,7 @@ from repro.naming import (
     make_pair,
     validate_token,
 )
+from repro.naming.avpair import _FIRST_ILLEGAL, RESERVED_CHARACTERS
 
 
 class TestTokenValidation:
@@ -28,6 +29,35 @@ class TestTokenValidation:
     def test_error_names_the_kind(self):
         with pytest.raises(InvalidTokenError, match="value"):
             validate_token("x=y", "value")
+
+    def test_error_names_the_first_offending_character(self):
+        with pytest.raises(InvalidTokenError, match=r"reserved character '\['"):
+            validate_token("ab[c d]", "attribute")
+        with pytest.raises(InvalidTokenError, match=r"reserved character ' '"):
+            validate_token("ab c]", "attribute")
+
+    def test_range_operator_exempts_only_the_leading_operator(self):
+        assert validate_token("<=5", "value") == "<=5"
+        assert validate_token(">=5", "value") == ">=5"
+        with pytest.raises(InvalidTokenError, match=r"character '='"):
+            validate_token("<=5=", "value")
+        with pytest.raises(InvalidTokenError, match=r"character '='"):
+            validate_token("<=5", "attribute")
+
+    def test_illegal_set_is_exactly_reserved_or_whitespace(self):
+        """Over every code point, the compiled test agrees with
+        ``ch in RESERVED_CHARACTERS or ch.isspace()``."""
+        everything = "".join(map(chr, range(0x110000)))
+        matched = set()
+        found = _FIRST_ILLEGAL(everything)
+        while found is not None:
+            matched.add(found.start())
+            found = _FIRST_ILLEGAL(everything, found.end())
+        expected = {
+            code for code, ch in enumerate(everything)
+            if ch in RESERVED_CHARACTERS or ch.isspace()
+        }
+        assert matched == expected
 
 
 class TestConstruction:

@@ -94,3 +94,28 @@ def test_concrete_names_survive_require_concrete(name):
     # them), so every generated name must be accepted as concrete.
     assert name.is_concrete()
     name.require_concrete()
+
+
+@given(name_specifiers(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cached_wire_text_is_never_stale(name, data):
+    """Interleaved to_wire/canonical_key/add_pair/add_child: to_wire()
+    always equals the serialization of a fresh, cache-free copy()."""
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        operation = data.draw(
+            st.sampled_from(("to_wire", "canonical_key", "add_pair", "add_child"))
+        )
+        if operation == "to_wire":
+            assert name.to_wire() == name.copy().to_wire()
+        elif operation == "canonical_key":
+            name.canonical_key()
+        elif operation == "add_pair":
+            attribute = data.draw(tokens)
+            if name.root(attribute) is None:
+                name.add(attribute, data.draw(tokens))
+        else:
+            parent = data.draw(st.sampled_from(list(name.walk())))
+            attribute = data.draw(tokens)
+            if parent.child(attribute) is None:
+                parent.add(attribute, data.draw(tokens))
+    assert name.to_wire() == name.copy().to_wire()

@@ -6,6 +6,7 @@ from repro.naming import (
     AVPair,
     DEFAULT_VSPACE,
     DuplicateAttributeError,
+    FrozenNameError,
     NameSpecifier,
     WildcardValueError,
 )
@@ -139,3 +140,72 @@ class TestEqualityAndCopy:
         name = NameSpecifier.parse("[a=b]")
         assert str(name) == "[a=b]"
         assert "[a=b]" in repr(name)
+
+
+class TestWireCache:
+    def test_compact_text_is_kept_once_the_key_is_cached(self):
+        name = NameSpecifier.parse("[a=1[b=2]][c=3]")
+        name.canonical_key()
+        first = name.to_wire()
+        assert name.to_wire() is first
+        assert name.to_wire(pretty=True) == "[a = 1 [b = 2]] [c = 3]"
+
+    def test_mutation_below_the_root_refreshes_the_text(self):
+        name = NameSpecifier.parse("[a=1[b=2]]")
+        name.canonical_key()
+        assert name.to_wire() == "[a=1[b=2]]"
+        name.root("a").child("b").add("c", "3")
+        assert name.to_wire() == "[a=1[b=2[c=3]]]"
+        name.canonical_key()
+        name.add("d", "4")
+        assert name.to_wire() == "[a=1[b=2[c=3]]][d=4]"
+
+    def test_empty_name(self):
+        name = NameSpecifier()
+        name.canonical_key()
+        assert name.to_wire() == ""
+        name.add("a", "1")
+        name.canonical_key()
+        assert name.to_wire() == "[a=1]"
+
+
+class TestReadOnly:
+    def test_frozen_name_rejects_add_pair(self):
+        name = NameSpecifier.parse("[a=1[b=2]]").freeze()
+        assert name.frozen
+        with pytest.raises(FrozenNameError):
+            name.add("c", "3")
+        with pytest.raises(FrozenNameError):
+            name.add_pair(AVPair("c", "3"))
+        assert name.to_wire() == "[a=1[b=2]]"
+
+    def test_frozen_name_rejects_add_child_at_any_depth(self):
+        name = NameSpecifier.parse("[a=1[b=2]]").freeze()
+        with pytest.raises(FrozenNameError):
+            name.root("a").add("c", "3")
+        with pytest.raises(FrozenNameError):
+            name.root("a").child("b").add_child(AVPair("c", "3"))
+        assert name == NameSpecifier.parse("[a=1[b=2]]")
+
+    def test_frozen_pairs_cannot_be_attached_elsewhere(self):
+        """Re-parenting a shared pair would let another name mutate it."""
+        frozen = NameSpecifier.parse("[a=1[b=2]]").freeze()
+        with pytest.raises(FrozenNameError):
+            NameSpecifier().add_pair(frozen.root("a"))
+        with pytest.raises(FrozenNameError):
+            AVPair("x", "y").add_child(frozen.root("a").child("b"))
+
+    def test_copy_of_frozen_name_is_mutable(self):
+        frozen = NameSpecifier.parse("[a=1[b=2]]").freeze()
+        duplicate = frozen.copy()
+        assert not duplicate.frozen
+        duplicate.root("a").add("c", "3")
+        duplicate.add("d", "4")
+        assert duplicate.to_wire() == "[a=1[b=2][c=3]][d=4]"
+        assert frozen.to_wire() == "[a=1[b=2]]"
+
+    def test_fresh_names_are_mutable(self):
+        name = NameSpecifier.parse("[a=1]")
+        assert not name.frozen
+        name.add("b", "2")
+        assert name.to_wire() == "[a=1][b=2]"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import InsDomain
-from repro.naming import NameSpecifier
+from repro.naming import FrozenNameError, NameSpecifier
 from repro.resolver import InrConfig
 
 from ..conftest import parse
@@ -76,6 +76,28 @@ class TestDiscovery:
         domain.run(0.5)
         [(name, metric)] = reply.value
         assert metric == 1.0
+
+    def test_client_cannot_corrupt_the_resolvers_name(self, queryable):
+        """Discovered names are the resolver's shared GET-NAME results:
+        a client editing one gets an error, and later updates and
+        answers still carry the advertised name."""
+        domain, a, b, client = queryable
+        reply = client.discover(parse("[service=cam[id=1]]"))
+        domain.run(0.5)
+        [(name, _)] = reply.value
+        record = next(iter(a.trees["default"].lookup(name)))
+        assert a.trees["default"].get_name(record) is name
+        with pytest.raises(FrozenNameError):
+            name.add("owner", "mallory")
+        with pytest.raises(FrozenNameError):
+            name.root("service").add("model", "x")
+        mine = name.copy()
+        mine.add("owner", "mallory")  # a copy is the client's own
+        again = client.discover(parse("[service=cam[id=1]]"))
+        domain.run(0.5)
+        assert [n.to_wire() for n, _ in again.value] == [
+            "[service=cam[id=1]][room=510]"
+        ]
 
 
 class TestForeignVspaces:
