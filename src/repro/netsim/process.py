@@ -8,7 +8,8 @@ services and clients are all processes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+import weakref
+from typing import Any, Callable, Dict, Optional, Union
 
 from .network import Network, Node
 from .simulator import Event, Simulator
@@ -79,7 +80,14 @@ class Process:
         self.node = node
         self.port = port
         node.bind(port, self)
-        self._timers: list = []
+        #: Weak references to this process's timers, in creation order
+        #: (the values are unused). The event queue is what keeps a
+        #: pending timer alive; once a one-shot event has fired or been
+        #: cancelled, or a periodic timer is stopped, and nothing else
+        #: holds it, its reference removes itself. A long-lived process
+        #: so keeps no dead event (with its callback and arguments) per
+        #: request it ever timed.
+        self._timers: Dict[weakref.ref, None] = {}
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -109,12 +117,12 @@ class Process:
 
     def stop(self) -> None:
         """Cancel timers and unbind from the node's port."""
-        for timer in self._timers:
+        for reference in list(self._timers):
+            timer = reference()
             if isinstance(timer, PeriodicTimer):
                 timer.stop()
-            else:
+            elif timer is not None:
                 timer.cancel()
-        self._timers = []
         self.node.unbind(self.port)
 
     # ------------------------------------------------------------------
@@ -155,9 +163,15 @@ class Process:
     # Timers
     # ------------------------------------------------------------------
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """One-shot timer; returns the cancellable event."""
+        """One-shot timer; returns the cancellable event.
+
+        The process tracks the event only while it can still fire:
+        once it has fired, or has been cancelled, it is released along
+        with its callback and arguments. :meth:`stop` cancels every
+        timer still pending.
+        """
         event = self.sim.schedule(delay, callback, *args)
-        self._timers.append(event)
+        self._track(event)
         return event
 
     def every(
@@ -175,8 +189,14 @@ class Process:
             jitter_fraction=jitter_fraction,
             fire_immediately=fire_immediately,
         )
-        self._timers.append(timer)
+        self._track(timer)
         return timer
+
+    def _track(self, timer: Union[Event, PeriodicTimer]) -> None:
+        # Each reference is removed by its own callback and never
+        # explicitly, so the pop always finds it.
+        timers = self._timers
+        timers[weakref.ref(timer, timers.pop)] = None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(node={self.address}, port={self.port})"

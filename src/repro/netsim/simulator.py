@@ -4,6 +4,16 @@ This is the substrate standing in for the paper's testbed (Pentium II
 machines on 1-5 Mbps wireless links). Virtual time advances only when
 events fire, so experiments are repeatable and independent of host
 speed; all protocol code runs unmodified on top of it.
+
+The event queue is a binary heap of ``(time, sequence, event)`` tuples.
+The sequence number comes from one counter per simulator and is never
+reused, so two entries always differ by the second field at the latest:
+heap ordering is a plain C tuple comparison and the :class:`Event` in
+the third field is never compared, which is why it defines no ordering.
+Ties in time fire in scheduling order. Cancellation is lazy: a
+cancelled event keeps its heap entry (a tombstone, still counted by
+:attr:`Simulator.pending_events`) until it reaches the head and is
+skipped.
 """
 
 from __future__ import annotations
@@ -11,33 +21,34 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class Event:
-    """A scheduled callback; cancellable until it fires."""
+    """A scheduled callback; cancellable until it fires.
 
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled")
+    The handle :meth:`Simulator.at` returns. Its heap position lives in
+    the queue entry, not here, so events are never compared.
+    """
 
-    def __init__(
-        self,
-        time: float,
-        sequence: int,
-        callback: Callable[..., None],
-        args: tuple,
-    ) -> None:
+    __slots__ = ("time", "callback", "args", "cancelled", "__weakref__")
+
+    def __init__(self, time: float, callback: Callable[..., None], args: tuple) -> None:
         self.time = time
-        self.sequence = sequence
         self.callback = callback
         self.args = args
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Prevent the event from firing; safe to call repeatedly."""
-        self.cancelled = True
+        """Prevent the event from firing; safe to call repeatedly.
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
+        The callback and its arguments are released at once rather than
+        when the tombstone leaves the queue, so whatever they reference
+        does not outlive the cancellation.
+        """
+        self.cancelled = True
+        self.callback = None
+        self.args = ()
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -50,12 +61,17 @@ class Simulator:
     The RNG is owned by the simulator so every random decision in an
     experiment (loss, workload generation, jitter) derives from one
     seed, making whole-system runs reproducible.
+
+    ``_queue`` is a heap of ``(time, sequence, event)`` entries (see the
+    module docstring). Every event enters through :meth:`at`, which is
+    the one place that assigns a sequence number; :meth:`schedule`,
+    the CPU model, the network and timers all call it.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
         self.rng = random.Random(seed)
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         #: Optional profiling hook, called with each Event just before
@@ -78,8 +94,8 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
-        event = Event(time, next(self._sequence), callback, args)
-        heapq.heappush(self._queue, event)
+        event = Event(time, callback, args)
+        heapq.heappush(self._queue, (time, next(self._sequence), event))
         return event
 
     # ------------------------------------------------------------------
@@ -88,10 +104,10 @@ class Simulator:
     def step(self) -> bool:
         """Fire the next pending event; False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self.now = event.time
+            self.now = time
             self._events_processed += 1
             if self.event_hook is not None:
                 self.event_hook(event)
@@ -120,13 +136,14 @@ class Simulator:
         pop = heapq.heappop
         fired = 0
         while queue:
-            head = queue[0]
+            batch_time, _, head = queue[0]
             if head.cancelled:
                 pop(queue)
                 continue
-            batch_time = head.time
             if until is not None and batch_time > until:
                 break
+            if max_events is not None and fired >= max_events:
+                return  # before the clock moves to a batch that will not fire
             # Fire the whole same-timestamp batch in one inner loop: the
             # clock is assigned once per distinct time and each event
             # costs one heappop, not a step() call with its own re-peek.
@@ -137,10 +154,10 @@ class Simulator:
             # Exact equality is the batching criterion: only events whose
             # float timestamp is bit-identical share a clock assignment; a
             # near-equal time is a later instant and starts its own batch.
-            while queue and queue[0].time == batch_time:  # lint: disable=no-float-time-eq -- identity batching, not a tolerance comparison
+            while queue and queue[0][0] == batch_time:  # lint: disable=no-float-time-eq -- identity batching, not a tolerance comparison
                 if max_events is not None and fired >= max_events:
                     return
-                event = pop(queue)
+                event = pop(queue)[2]
                 if event.cancelled:
                     continue
                 self._events_processed += 1
@@ -162,7 +179,9 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Events still queued (including cancelled tombstones)."""
+        """Heap entries still queued, cancelled tombstones included:
+        cancellation is lazy, so a cancelled event counts here until it
+        reaches the head of the queue and is dropped."""
         return len(self._queue)
 
     def __repr__(self) -> str:

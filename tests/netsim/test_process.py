@@ -1,5 +1,8 @@
 """Tests for the Process base class and timers."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.netsim import Network, PeriodicTimer, Process, Simulator
@@ -48,14 +51,59 @@ class TestProcessBasics:
         assert network.link("host", "peer").stats.bytes == 0
 
     def test_stop_cancels_timers(self):
+        """Hundreds of timers fire or are cancelled (and released) first;
+        stop() still reaches every pending one-shot and live periodic
+        timer."""
         sim, network, node = build()
         process = Process(node, 10)
         fired = []
-        process.set_timer(1.0, fired.append, "one-shot")
-        process.every(1.0, lambda: fired.append("periodic"))
+        for index in range(300):
+            event = process.set_timer(0.01 * (index + 1), fired.append, index)
+            if index % 3 == 0:
+                event.cancel()
+        stopped_early = process.every(0.5, lambda: fired.append("early"))
+        periodic = [process.every(0.7, lambda: fired.append("periodic"))
+                    for _ in range(3)]
+        sim.run_for(1.5)
+        stopped_early.stop()
+        sim.run_for(0.5)  # up to t=2.0: indices 0..199 are due
+        assert [f for f in fired if isinstance(f, int)] == [
+            index for index in range(200) if index % 3
+        ]
+        fired.clear()
         process.stop()
-        sim.run_for(5.0)
+        sim.run_for(10.0)
         assert fired == []
+        assert all(timer.stopped for timer in periodic)
+
+    def test_fired_and_cancelled_timers_are_released(self):
+        """A long-lived process must not keep its dead timers (and what
+        their arguments reference) alive."""
+
+        class Token:
+            pass
+
+        sim, network, node = build()
+        process = Process(node, 10)
+        fired = []
+        tokens = [Token() for _ in range(40)]
+        alive = [weakref.ref(token) for token in tokens]
+        events = [
+            process.set_timer(1.0 + index, lambda token: fired.append(1), token)
+            for index, token in enumerate(tokens)
+        ]
+        del tokens
+        sim.run(until=20.5)
+        assert len(fired) == 20
+        for event in events[20:]:
+            event.cancel()
+        del events
+        stopped = process.every(1.0, lambda: None)
+        stopped.stop()
+        alive.append(weakref.ref(stopped))
+        del stopped
+        gc.collect()
+        assert [ref for ref in alive if ref() is not None] == []
 
 
 class TestTimers:
