@@ -10,7 +10,7 @@ exist precisely so the forwarding agent can skip it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from ..naming import NameSpecifier
 from ..obs import TRACE_CONTEXT_SIZE, TraceContext
@@ -88,13 +88,27 @@ class InsMessage:
         return bytes(out)
 
     @classmethod
-    def decode(cls, packet) -> "InsMessage":
+    def decode(
+        cls,
+        packet,
+        parse_name: Optional[Callable[[str], NameSpecifier]] = None,
+    ) -> "InsMessage":
         """Parse a packet produced by :meth:`encode`.
 
         Accepts any bytes-like buffer; the name-specifier sections are
         UTF-8-decoded straight out of a ``memoryview``, so no sliced
         ``bytes`` copies are made before parsing.
+
+        ``parse_name`` turns each section's text into a name; the
+        default is :meth:`NameSpecifier.parse`, a fresh mutable name per
+        call. An INR passes its decoded-name memo instead, which returns
+        one shared frozen name per distinct text (PROTOCOL.md §2). The
+        header is unpacked and both sections are UTF-8-decoded either
+        way, and a parser must raise on malformed text as ``parse``
+        does.
         """
+        if parse_name is None:
+            parse_name = NameSpecifier.parse
         header = Header.unpack(packet)
         view = memoryview(packet)
         source_text = str(
@@ -106,8 +120,8 @@ class InsMessage:
         if not destination_text:
             raise HeaderError("packet has an empty destination name-specifier")
         return cls(
-            destination=NameSpecifier.parse(destination_text),
-            source=NameSpecifier.parse(source_text),
+            destination=parse_name(destination_text),
+            source=parse_name(source_text),
             data=bytes(view[header.data_offset:]),
             binding=header.binding,
             delivery=header.delivery,

@@ -16,6 +16,7 @@ update-overloaded delegates a virtual space to a freshly spawned INR.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -81,6 +82,23 @@ from .reliable import ReliableAck, ReliableChannel, ReliableFrame
 
 #: The probe name INR-pings carry: small, as the paper describes.
 _PING_PROBE = NameSpecifier.from_dict({"service": "inr-ping"})
+
+#: Bound of each INR's decoded-name memo (PROTOCOL.md §2), the same as
+#: the default capacity of the NameTree lookup memo.
+DECODED_NAME_MEMO_SIZE = 1024
+
+
+def _parse_frozen(text: str) -> NameSpecifier:
+    """Parse one name-specifier section and make it read-only, so the
+    memo can hand the same name to every packet carrying that text.
+    ``NameSpecifier.parse`` is looked up per call: every miss parses."""
+    return NameSpecifier.parse(text).freeze()
+
+
+def _decoded_name_memo() -> Callable[[str], NameSpecifier]:
+    """A fresh decoded-name memo: wire text -> frozen name. A parse
+    error propagates and is not stored."""
+    return functools.lru_cache(maxsize=DECODED_NAME_MEMO_SIZE)(_parse_frozen)
 
 
 @dataclass
@@ -264,6 +282,9 @@ class INR(Process):
         self.neighbors = NeighborTable()
         self.monitor = LoadMonitor(ewma_alpha=self.config.load_ewma_alpha)
         self.stats = InrStats()
+        #: Data-path name parser: one frozen name per distinct wire text
+        #: (PROTOCOL.md §2). Per process, never shared between INRs.
+        self._name_memo = _decoded_name_memo()
         #: Two-phase vspace handoff state machines (PROTOCOL.md §11).
         self.delegation = DelegationCoordinator(self)
         #: Finalized delegation facts preserved across a crash, like
@@ -416,6 +437,7 @@ class INR(Process):
             now=self.now, ewma_alpha=self.config.load_ewma_alpha
         )
         self.stats = InrStats()
+        self._name_memo = _decoded_name_memo()
         self._last_load_action = float("-inf")
         self._overload_lookup_streak = 0
         self._overload_update_streak = 0
@@ -621,7 +643,7 @@ class INR(Process):
                 self.stats.drops_terminated += 1
                 if self.tracer is not None:
                     try:
-                        context = payload.message.trace
+                        context = self._decode(payload).trace
                     except ValueError:
                         context = None
                     self._span_end(
@@ -1281,7 +1303,7 @@ class INR(Process):
     # ------------------------------------------------------------------
     def _handle_data(self, packet: DataPacket, source: str) -> None:
         try:
-            message = packet.message
+            message = self._decode(packet)
         except ValueError:
             # Malformed packet (bad header, unparsable names): a robust
             # resolver drops it rather than dying (design goal iii).
@@ -1303,10 +1325,16 @@ class INR(Process):
             self.costs.lookup, lambda: self._route(tree, packet, source, span)
         )
 
+    def _decode(self, packet: DataPacket) -> InsMessage:
+        """``packet``'s message, its names parsed through this INR's
+        decoded-name memo (read-only, shared by every packet carrying
+        the same text). Raises ValueError on a malformed frame."""
+        return packet.decode(self._name_memo)
+
     def _route(
         self, tree: NameTree, packet: DataPacket, source: str, span=None
     ) -> None:
-        message = packet.message
+        message = self._decode(packet)
         if message.binding is Binding.EARLY:
             # The B bit-flag (Figure 10): the sender wants the
             # name-to-location bindings back, not payload forwarding.
@@ -1475,7 +1503,7 @@ class INR(Process):
     def _forward_to_inr(
         self, packet: DataPacket, next_hop: str, span=None
     ) -> None:
-        message = packet.message
+        message = self._decode(packet)
         if message.hop_limit <= 0:
             self.stats.drops_hop_limit += 1
             self._span_end(span, DROP_PREFIX + "hop-limit")
@@ -1529,7 +1557,7 @@ class INR(Process):
         """
         if self.custody is None:
             return False
-        message = packet.message
+        message = self._decode(packet)
         if message.binding is not Binding.LATE:
             return False
         if message.delivery is not Delivery.ANYCAST:

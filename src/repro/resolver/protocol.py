@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from ..message import InsMessage
 from ..naming import NameSpecifier
 from ..nametree import AnnouncerID, Endpoint
 from ..obs import TRACE_CONTEXT_SIZE, TraceContext
@@ -160,18 +161,29 @@ class DataPacket:
     INRs decode the header and names to forward it but never touch the
     application data; we keep the raw bytes authoritative and cache the
     decoded form for the simulator's benefit.
+
+    The first decode fixes the cached form. An INR decodes through its
+    decoded-name memo (:meth:`decode` with ``parse_name``), so a packet
+    it handled, including one it delivers to a local service, carries
+    read-only names; :attr:`message` decodes with the plain parser.
     """
 
     raw: bytes
-    _decoded: Optional[object] = field(default=None, repr=False, compare=False)
+    _decoded: Optional[InsMessage] = field(default=None, repr=False, compare=False)
+
+    def decode(
+        self, parse_name: Optional[Callable[[str], NameSpecifier]] = None
+    ) -> InsMessage:
+        """The decoded message, parsing names with ``parse_name`` on
+        the first call (see :meth:`InsMessage.decode`)."""
+        decoded = self._decoded
+        if decoded is None:
+            decoded = self._decoded = InsMessage.decode(self.raw, parse_name)
+        return decoded
 
     @property
-    def message(self):
-        from ..message import InsMessage
-
-        if self._decoded is None:
-            self._decoded = InsMessage.decode(self.raw)
-        return self._decoded
+    def message(self) -> InsMessage:
+        return self.decode()
 
     def wire_size(self) -> int:
         return BASE_OVERHEAD + len(self.raw)
